@@ -22,6 +22,7 @@ from .predicates import EPS
 __all__ = [
     "crosses_rect_interior",
     "crosses_convex_polygon",
+    "crosses_convex_polygons",
     "proper_cross_segments",
     "blocked_by_rects",
     "blocked_by_segments",
@@ -123,6 +124,47 @@ def crosses_convex_polygon(ax: float, ay: float, bx, by, poly: np.ndarray,
             f = ex * (my - py) - ey * (mx - px)
             inside &= f > eps * scale
         return inside
+
+
+def crosses_convex_polygons(ax: float, ay: float, bx: np.ndarray,
+                            by: np.ndarray, verts: np.ndarray,
+                            edges: np.ndarray,
+                            eps: float = EPS) -> np.ndarray:
+    """:func:`crosses_convex_polygon` for many polygons in one launch.
+
+    ``verts`` is a (P, Vmax, 2) slab of counter-clockwise vertices; a
+    polygon with fewer than ``Vmax`` vertices repeats its last one, so its
+    padded edges are zero-length.  ``edges`` (P, Vmax) marks the real
+    edges (edge ``i`` runs from vertex ``i`` to vertex ``(i + 1) % Vmax``).
+    Row ``p`` of the (P, M) targets ``bx`` / ``by`` is tested against
+    polygon ``p`` with exactly the per-element float operations of the
+    single-polygon kernel, so every decision is bit-identical to it.  A
+    zero-length edge never moves the clip parameters; it is only excluded
+    from the interior test, which it would otherwise always fail.
+    """
+    vmax = verts.shape[1]
+    nxt = np.arange(1, vmax + 1) % vmax
+    px = verts[:, :, 0, None]                # (P, Vmax, 1)
+    py = verts[:, :, 1, None]
+    ex = px[:, nxt] - px
+    ey = py[:, nxt] - py
+    with np.errstate(all="ignore"):
+        dxs = (bx - ax)[:, None, :]          # (P, 1, M)
+        dys = (by - ay)[:, None, :]
+        c = ex * (ay - py) - ey * (ax - px)  # cross(edge, a - p)
+        d = ex * dys - ey * dxs              # cross(edge, b - a)
+        r = np.where(d != 0.0, -c / np.where(d == 0.0, 1.0, d), 0.0)
+        # Folding the per-edge clip updates with max/min reductions gives
+        # the same values as the single-polygon kernel's running update.
+        t0 = np.where(d > 0.0, r, 0.0).max(axis=1, initial=0.0)
+        t1 = np.where(d < 0.0, r, 1.0).min(axis=1, initial=1.0)
+        inside = ~((d == 0.0) & (c < 0.0)).any(axis=1) & ((t1 - t0) > eps)
+        tm = 0.5 * (t0 + t1)
+        mx = (ax + tm * dxs[:, 0])[:, None, :]
+        my = (ay + tm * dys[:, 0])[:, None, :]
+        f = ex * (my - py) - ey * (mx - px)
+        tol = eps * np.maximum(np.abs(ex) + np.abs(ey), 1.0)
+        return inside & ((f > tol) | ~edges[:, :, None]).all(axis=1)
 
 
 def _orient_sign(ax, ay, bx, by, cx, cy, eps: float = EPS):

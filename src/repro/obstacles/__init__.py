@@ -4,6 +4,7 @@ from .obstacle import (
     Obstacle,
     ObstacleSet,
     PolygonObstacle,
+    PolygonSlab,
     RectObstacle,
     SegmentObstacle,
 )
@@ -14,10 +15,12 @@ from .obstructed import (
     obstructed_path,
 )
 from .shadow import (
+    shadow_intervals_polys,
     shadow_intervals_rects,
     shadow_intervals_scalar,
     shadow_intervals_segs,
     shadow_set,
+    sight_cull,
     visible_region,
     visible_region_scalar,
 )
@@ -28,16 +31,19 @@ __all__ = [
     "Obstacle",
     "ObstacleSet",
     "PolygonObstacle",
+    "PolygonSlab",
     "RectObstacle",
     "SegmentObstacle",
     "all_obstructed_distances",
     "build_full_graph",
     "obstructed_distance",
     "obstructed_path",
+    "shadow_intervals_polys",
     "shadow_intervals_rects",
     "shadow_intervals_scalar",
     "shadow_intervals_segs",
     "shadow_set",
+    "sight_cull",
     "visible_region",
     "visible_region_scalar",
 ]

@@ -190,11 +190,56 @@ class SegmentObstacle(Obstacle):
         return segments_properly_cross(ax, ay, bx, by, s.ax, s.ay, s.bx, s.by)
 
 
+class PolygonSlab:
+    """Convex polygons packed for batched kernels.
+
+    ``verts`` is a (P, Vmax, 2) vertex slab in counter-clockwise order; a
+    polygon with fewer than ``Vmax`` vertices repeats its last vertex, which
+    adds only zero-length edges.  ``edges`` (P, Vmax) is True for the real
+    edges (edge ``i`` runs from vertex ``i`` to ``(i + 1) % Vmax``), and
+    ``bounds`` (P, 4) holds each polygon's ``[xlo, ylo, xhi, yhi]``.
+    Indexing with a slice or a boolean mask selects polygons (rows), so a
+    tail ``slab[k:]`` is the slab of the polygons added after the first k.
+    """
+
+    __slots__ = ("verts", "edges", "bounds")
+
+    def __init__(self, verts: np.ndarray, edges: np.ndarray,
+                 bounds: np.ndarray):
+        self.verts = verts
+        self.edges = edges
+        self.bounds = bounds
+
+    @classmethod
+    def of(cls, polys: Sequence["PolygonObstacle"]) -> "PolygonSlab":
+        """Pack ``polys`` into a slab; row i is ``polys[i]``."""
+        vmax = max((len(p.points) for p in polys), default=3)
+        verts = np.empty((len(polys), vmax, 2), dtype=np.float64)
+        edges = np.zeros((len(polys), vmax), dtype=bool)
+        for i, poly in enumerate(polys):
+            arr = poly.as_array()
+            n = arr.shape[0]
+            verts[i, :n] = arr
+            verts[i, n:] = arr[-1]
+            edges[i, :n - 1] = True
+            edges[i, -1] = True
+        bounds = np.concatenate([verts.min(axis=1), verts.max(axis=1)], axis=1)
+        return cls(verts, edges, bounds)
+
+    def __len__(self) -> int:
+        return self.verts.shape[0]
+
+    def __getitem__(self, rows) -> "PolygonSlab":
+        return PolygonSlab(self.verts[rows], self.edges[rows],
+                           self.bounds[rows])
+
+
 class ObstacleSet:
     """A growable collection of obstacles mirrored into numpy arrays.
 
     The arrays (``rects`` of shape (N, 4) and ``segs`` of shape (M, 4)) back
-    every vectorized sight-line test.  The growth pattern is append-only —
+    every vectorized sight-line test; convex polygons are mirrored into a
+    :class:`PolygonSlab` (``poly_slab``).  The growth pattern is append-only —
     exactly what incremental obstacle retrieval (IOR) produces — with one
     surgical exception: :meth:`remove` deletes a single obstacle so the
     visibility graph's removal repair can shrink its obstacle set in place
@@ -208,6 +253,8 @@ class ObstacleSet:
         self._poly_list: List[PolygonObstacle] = []
         self._rects = np.empty((0, 4), dtype=np.float64)
         self._segs = np.empty((0, 4), dtype=np.float64)
+        # Rebuilt lazily by ``poly_slab`` after a polygon is added/removed.
+        self._slab: PolygonSlab | None = None
         self._dirty = False
         self.add_many(obstacles)
 
@@ -222,6 +269,7 @@ class ObstacleSet:
             self._seg_rows.append((s.ax, s.ay, s.bx, s.by))
         elif isinstance(obstacle, PolygonObstacle):
             self._poly_list.append(obstacle)
+            self._slab = None
         else:
             raise TypeError(f"unsupported obstacle type {type(obstacle).__name__}")
         self._dirty = True
@@ -252,6 +300,7 @@ class ObstacleSet:
             del self._seg_rows[kind_index]
         else:
             del self._poly_list[kind_index]
+            self._slab = None
         self._dirty = True
         return True
 
@@ -276,6 +325,13 @@ class ObstacleSet:
     def polys(self) -> Sequence["PolygonObstacle"]:
         """Convex polygon obstacles (kept as objects, not arrays)."""
         return self._poly_list
+
+    @property
+    def poly_slab(self) -> PolygonSlab:
+        """The polygons as one padded :class:`PolygonSlab`, row i = ``polys[i]``."""
+        if self._slab is None:
+            self._slab = PolygonSlab.of(self._poly_list)
+        return self._slab
 
     @property
     def obstacles(self) -> Sequence[Obstacle]:

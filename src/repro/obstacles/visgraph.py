@@ -213,6 +213,8 @@ class LocalVisibilityGraph:
         self.batch_visibility_calls = 0
         self.batched_edges_tested = 0
         self.kernel_pruned_edges = 0
+        self.shadow_primitives_tested = 0
+        self.shadow_primitives_culled = 0
         self.heap_bulk_pushes = 0
         self.array_traversals = 0
         self.rows_bulk_materialized = 0
@@ -1652,8 +1654,9 @@ class LocalVisibilityGraph:
             return cached[0]
         rects = self.obstacles.rects
         segs = self.obstacles.segs
-        polys = self.obstacles.polys
-        watermark_now = (rects.shape[0], segs.shape[0], len(polys))
+        slab = self.obstacles.poly_slab
+        watermark_now = (rects.shape[0], segs.shape[0], len(slab))
+        tally: dict = {}
         if cached is not None:
             vr, watermark, _ = cached
             if watermark != watermark_now:
@@ -1661,13 +1664,19 @@ class LocalVisibilityGraph:
                 vr = vr.subtract(shadow_set(x, y, self.qseg,
                                             rects[watermark[0]:],
                                             segs[watermark[1]:],
-                                            polys[watermark[2]:]))
+                                            slab[watermark[2]:], tally))
+                self._count_shadows(tally)
             self._vr_cache[node] = (vr, watermark_now, epoch)
             return vr
         x, y = self._xy[node]
-        vr = visible_region(x, y, self.qseg, self.obstacles)
+        vr = visible_region(x, y, self.qseg, self.obstacles, tally)
+        self._count_shadows(tally)
         self._vr_cache[node] = (vr, watermark_now, epoch)
         return vr
+
+    def _count_shadows(self, tally: dict) -> None:
+        self.shadow_primitives_tested += tally["tested"]
+        self.shadow_primitives_culled += tally["culled"]
 
     # -------------------------------------------------------------- dijkstra
     def _segment_heuristic(self) -> np.ndarray:

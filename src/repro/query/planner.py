@@ -171,6 +171,13 @@ class QueryPlan:
     backend_pruned_edges: int = 0
     """Cumulative edge x primitive pairs the bbox prefilter skipped on the
     chosen backend (``BackendStats.kernel_pruned_edges``)."""
+    backend_shadow_tested: int = 0
+    """Cumulative obstacle primitives handed to shadow kernels on the
+    chosen backend (``BackendStats.shadow_primitives_tested``)."""
+    backend_shadow_culled: int = 0
+    """Cumulative obstacle primitives the sight-triangle cull dropped
+    before any shadow kernel ran
+    (``BackendStats.shadow_primitives_culled``)."""
     backend_bulk_pushes: int = 0
     """Cumulative relaxed rows bulk-pushed into the sequence heap on the
     chosen backend (``BackendStats.heap_bulk_pushes``)."""
@@ -244,6 +251,8 @@ class QueryPlan:
             f"{self.backend_pruned_edges} bbox-pruned, "
             f"{self.backend_bulk_pushes} bulk heap pushes, "
             f"{self.backend_array_traversals} array traversals so far)",
+            f"  shadows   : {self.backend_shadow_tested} primitives tested, "
+            f"{self.backend_shadow_culled} culled by the sight triangle",
             f"  cold/churn: {self.backend_bulk_rows} bulk rows in "
             f"{self.backend_bulk_launches} bulk pair launches, "
             f"{self.backend_removal_repairs} removal repairs "
@@ -332,6 +341,8 @@ def _engine_fields(ws: "Workspace", chosen: str) -> dict:
         "backend_batch_calls": stats.batch_visibility_calls,
         "backend_batched_edges": stats.batched_edges_tested,
         "backend_pruned_edges": stats.kernel_pruned_edges,
+        "backend_shadow_tested": stats.shadow_primitives_tested,
+        "backend_shadow_culled": stats.shadow_primitives_culled,
         "backend_bulk_pushes": stats.heap_bulk_pushes,
         "backend_array_traversals": stats.array_traversals,
         "backend_bulk_rows": stats.rows_bulk_materialized,

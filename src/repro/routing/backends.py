@@ -164,6 +164,8 @@ class VGSession:
         self._batch0 = graph.batch_visibility_calls
         self._edges0 = graph.batched_edges_tested
         self._pruned0 = graph.kernel_pruned_edges
+        self._shadow_tested0 = graph.shadow_primitives_tested
+        self._shadow_culled0 = graph.shadow_primitives_culled
         self._bulk0 = graph.heap_bulk_pushes
         self._array0 = graph.array_traversals
         self._bulkrows0 = graph.rows_bulk_materialized
@@ -258,6 +260,10 @@ class VGSession:
                                   - self._edges0),
             kernel_pruned_edges=(self.graph.kernel_pruned_edges
                                  - self._pruned0),
+            shadow_primitives_tested=(self.graph.shadow_primitives_tested
+                                      - self._shadow_tested0),
+            shadow_primitives_culled=(self.graph.shadow_primitives_culled
+                                      - self._shadow_culled0),
             heap_bulk_pushes=self.graph.heap_bulk_pushes - self._bulk0,
             array_traversals=self.graph.array_traversals - self._array0,
             rows_bulk_materialized=(self.graph.rows_bulk_materialized

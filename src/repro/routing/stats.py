@@ -73,6 +73,16 @@ class BackendStats:
     skipped without evaluating (provably non-blocking: padded AABBs
     disjoint).  Not counted in ``batched_edges_tested``."""
 
+    shadow_primitives_tested: int = 0
+    """Obstacle primitives (rects, walls, polygons) handed to a shadow
+    kernel while visible regions were computed or narrowed."""
+
+    shadow_primitives_culled: int = 0
+    """Obstacle primitives the sight-triangle cull dropped before any
+    shadow kernel ran (bounding box disjoint from the padded box of the
+    triangle ``(v, q.a, q.b)``: provably shadowless).  Not counted in
+    ``shadow_primitives_tested``."""
+
     heap_bulk_pushes: int = 0
     """Relaxed adjacency rows long enough to enter the array engine's
     sequence heap as one sorted run (shorter rows push per-element, which
@@ -138,6 +148,8 @@ class BackendStats:
         self.batch_visibility_calls += other.batch_visibility_calls
         self.batched_edges_tested += other.batched_edges_tested
         self.kernel_pruned_edges += other.kernel_pruned_edges
+        self.shadow_primitives_tested += other.shadow_primitives_tested
+        self.shadow_primitives_culled += other.shadow_primitives_culled
         self.heap_bulk_pushes += other.heap_bulk_pushes
         self.array_traversals += other.array_traversals
         self.rows_bulk_materialized += other.rows_bulk_materialized
